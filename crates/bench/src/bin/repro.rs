@@ -71,9 +71,10 @@ use pagesim::report;
 use pagesim_bench::repro_bench::{self, history};
 use pagesim_bench::statline::StatLine;
 use pagesim_bench::sweep::{
-    default_jobs, journal::json_escape, run_sweep_resilient, run_sweep_traced, ChaosPlan,
-    SweepOptions, SweepOutcome, TraceRequest,
+    default_jobs, run_sweep_resilient, run_sweep_traced, ChaosPlan, SweepOptions, SweepOutcome,
+    TraceRequest,
 };
+use pagesim_json::escape;
 use pagesim_trace::TraceConfig;
 
 fn usage() -> ! {
@@ -441,9 +442,9 @@ fn print_failure_report(outcome: &SweepOutcome) {
         .map(|f| {
             format!(
                 "{{\"ident\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\",\"attempts\":{}}}",
-                json_escape(&f.ident),
+                escape(&f.ident),
                 f.kind.label(),
-                json_escape(&f.kind.detail()),
+                escape(&f.kind.detail()),
                 f.attempts
             )
         })
@@ -454,8 +455,8 @@ fn print_failure_report(outcome: &SweepOutcome) {
         .map(|d| {
             format!(
                 "{{\"ident\":\"{}\",\"error\":\"{}\",\"trials\":{}}}",
-                json_escape(&d.ident),
-                json_escape(&d.error),
+                escape(&d.ident),
+                escape(&d.error),
                 d.trials
             )
         })

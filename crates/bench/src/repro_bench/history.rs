@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use pagesim_stats::MetricEstimate;
 
-use super::json::{self, Json};
+use pagesim_json::{escape, JsonValue};
 
 /// History document schema version.
 pub const HISTORY_SCHEMA: u32 = 1;
@@ -179,7 +179,7 @@ fn fmt_f64(x: f64) -> String {
     }
 }
 
-fn read_f64(v: &Json, field: &str) -> Result<f64, HistoryError> {
+fn read_f64(v: &JsonValue, field: &str) -> Result<f64, HistoryError> {
     if let Some(x) = v.as_f64() {
         return Ok(x);
     }
@@ -190,7 +190,7 @@ fn read_f64(v: &Json, field: &str) -> Result<f64, HistoryError> {
     }
 }
 
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, HistoryError> {
+fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, HistoryError> {
     obj.get(key).ok_or_else(|| bad(format!("missing field {key:?}")))
 }
 
@@ -210,11 +210,11 @@ impl BenchHistory {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            out.push_str(&format!("      \"commit\": \"{}\",\n", json::escape(&e.commit)));
+            out.push_str(&format!("      \"commit\": \"{}\",\n", escape(&e.commit)));
             out.push_str(&format!("      \"timestamp_unix\": {},\n", e.timestamp_unix));
             out.push_str(&format!(
                 "      \"bench_scale\": \"{}\",\n",
-                json::escape(&e.bench_scale)
+                escape(&e.bench_scale)
             ));
             out.push_str(&format!("      \"seed\": {},\n", e.seed));
             out.push_str(&format!("      \"counters_enabled\": {},\n", e.counters_enabled));
@@ -224,8 +224,8 @@ impl BenchHistory {
                     out.push(',');
                 }
                 out.push_str("\n        {\n");
-                out.push_str(&format!("          \"name\": \"{}\",\n", json::escape(&m.name)));
-                out.push_str(&format!("          \"unit\": \"{}\",\n", json::escape(&m.unit)));
+                out.push_str(&format!("          \"name\": \"{}\",\n", escape(&m.name)));
+                out.push_str(&format!("          \"unit\": \"{}\",\n", escape(&m.unit)));
                 out.push_str(&format!("          \"direction\": \"{}\",\n", m.direction.label()));
                 out.push_str(&format!("          \"mean\": {},\n", fmt_f64(m.mean)));
                 out.push_str(&format!("          \"stddev\": {},\n", fmt_f64(m.stddev)));
@@ -259,7 +259,7 @@ impl BenchHistory {
 
     /// Parses a serialized history document, validating the schema.
     pub fn parse(text: &str) -> Result<BenchHistory, HistoryError> {
-        let doc = json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let doc = pagesim_json::parse(text).map_err(|e| bad(e.to_string()))?;
         let schema = field(&doc, "schema")?
             .as_u64()
             .ok_or_else(|| bad("schema is not an integer"))?;
@@ -278,7 +278,7 @@ impl BenchHistory {
         Ok(BenchHistory { entries })
     }
 
-    fn parse_entry(e: &Json) -> Result<BenchEntry, HistoryError> {
+    fn parse_entry(e: &JsonValue) -> Result<BenchEntry, HistoryError> {
         let str_field = |key: &str| -> Result<String, HistoryError> {
             Ok(field(e, key)?
                 .as_str()
@@ -310,7 +310,7 @@ impl BenchHistory {
         })
     }
 
-    fn parse_metric(m: &Json) -> Result<MetricRecord, HistoryError> {
+    fn parse_metric(m: &JsonValue) -> Result<MetricRecord, HistoryError> {
         let ci = field(m, "confidence_interval_95")?
             .as_arr()
             .ok_or_else(|| bad("confidence_interval_95 is not an array"))?;

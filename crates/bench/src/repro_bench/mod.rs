@@ -32,7 +32,6 @@
 //! against the previous entry's combined noise band.
 
 pub mod history;
-pub mod json;
 
 use std::path::PathBuf;
 // Host timing is the entire point of this module; the bench crate is

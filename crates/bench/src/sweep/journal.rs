@@ -34,25 +34,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use pagesim_json::{escape, JsonValue};
+
 /// Journal line format version.
 pub const JOURNAL_VERSION: u32 = 1;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The journal writer. All writes are best-effort: journalling failures
 /// degrade to "no checkpoint", never abort the sweep.
@@ -89,7 +74,7 @@ impl Journal {
         self.line(&format!(
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"run\",\"cells\":{cells},\"trials\":{trials},\
              \"figs\":\"{}\",\"resume\":{resume}}}",
-            json_escape(&figs.join(" "))
+            escape(&figs.join(" "))
         ));
     }
 
@@ -106,10 +91,10 @@ impl Journal {
         let mut s = format!(
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"trial\",\"hash\":\"{hash:016x}\",\
              \"ident\":\"{}\",\"status\":\"{status}\"",
-            json_escape(ident)
+            escape(ident)
         );
         if let Some(d) = detail {
-            s.push_str(&format!(",\"detail\":\"{}\"", json_escape(d)));
+            s.push_str(&format!(",\"detail\":\"{}\"", escape(d)));
         }
         s.push_str(&format!(",\"attempts\":{attempts},\"ms\":{ms}}}"));
         self.line(&s);
@@ -149,32 +134,28 @@ impl PriorRun {
     }
 }
 
-/// Extracts `"key":"<value>"` from a journal line. Only safe for fields
-/// whose values never contain escapes (`hash`, `status`); `detail` may
-/// hold escaped quotes and must not be parsed this way.
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Reads a journal back into resume state. Unreadable files and malformed
-/// lines yield an empty/partial prior — resume then just re-runs more.
+/// Reads a journal back into resume state. An unreadable file yields an
+/// empty prior; a line that does not parse (a record torn by a crash
+/// mid-write, a corrupted byte) is skipped alone. Resume then just
+/// re-runs more.
 pub fn load_prior(path: &Path) -> PriorRun {
     let mut prior = PriorRun::default();
-    let Ok(text) = fs::read_to_string(path) else {
+    let Ok(bytes) = fs::read(path) else {
         return prior;
     };
-    for line in text.lines() {
-        if !line.contains("\"kind\":\"trial\"") {
-            continue;
-        }
-        let Some(hash) = extract_str(line, "hash").and_then(|h| u64::from_str_radix(h, 16).ok())
+    for line in bytes.split(|&b| b == b'\n') {
+        let Some(rec) = std::str::from_utf8(line).ok().and_then(|l| pagesim_json::parse(l).ok())
         else {
             continue;
         };
-        let done = matches!(extract_str(line, "status"), Some("done" | "done-degraded"));
+        let field = |key| rec.get(key).and_then(JsonValue::as_str);
+        if field("kind") != Some("trial") {
+            continue;
+        }
+        let Some(hash) = field("hash").and_then(|h| u64::from_str_radix(h, 16).ok()) else {
+            continue;
+        };
+        let done = matches!(field("status"), Some("done" | "done-degraded"));
         prior.done.insert(hash, done);
     }
     prior
@@ -183,12 +164,6 @@ pub fn load_prior(path: &Path) -> PriorRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn round_trip_last_line_wins() {
@@ -224,6 +199,34 @@ mod tests {
         j.trial(0x1, "cell", "done-degraded", Some("sim error: deadlock"), 1, 5);
         drop(j);
         assert!(load_prior(&path).is_done(0x1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_whole_records_count() {
+        let dir = std::env::temp_dir().join(format!("pagesim-journal3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("j.jsonl");
+        let mut j = Journal::open(&path, false).expect("open");
+        j.run_header(1, 3, &["fig1".to_owned()], false);
+        j.trial(0xA, "cell trial 0", "done", None, 1, 10);
+        // Field text that looks like a status is data, not a status.
+        j.trial(0xC, "x\",\"status\":\"done", "failed", Some("\"status\":\"done\""), 3, 10);
+        j.trial(0xB, "cell trial 1", "done", None, 1, 10);
+        drop(j);
+        // A crash mid-write: the last record stops after its status field,
+        // after a line whose bytes are not even UTF-8.
+        let text = std::fs::read_to_string(&path).expect("read");
+        let cut = text.rfind(",\"attempts\"").expect("last trial line");
+        let last = text[..cut].rfind('\n').expect("line start") + 1;
+        let bytes = text.as_bytes();
+        let torn = [&bytes[..last], b"\xff\n", &bytes[last..cut]].concat();
+        std::fs::write(&path, torn).expect("write torn");
+        let prior = load_prior(&path);
+        assert!(prior.is_done(0xA), "intact lines still load");
+        assert!(!prior.is_done(0xC), "the record's own status is failed");
+        assert!(!prior.is_done(0xB), "torn record is not trusted");
+        assert_eq!(prior.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,7 +2,8 @@
 //! parse → re-serialize is byte-identical, appending preserves earlier
 //! entries untouched, a torn final entry is quarantined rather than parsed
 //! or overwritten, and the `--check` gate's exit codes are what CI keys on
-//! (0 pass, 2 unusable baseline, 5 regression).
+//! (0 pass, 2 unusable baseline, 5 regression). The checked-in
+//! `BENCH_pagesim.json` itself round-trips.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -201,8 +202,24 @@ fn check_gate_exit_codes_through_the_binary() {
     history::save(&BenchHistory::default(), &empty_file).unwrap();
     let out = quick(&["--check", empty_file.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
+    // Hostile nesting is a typed parse error, not a stack overflow.
+    let deep_file = dir.join("deep.json");
+    std::fs::write(&deep_file, "[".repeat(1_000_000)).unwrap();
+    let out = quick(&["--check", deep_file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checked-in trajectory re-serializes byte for byte: the strict
+/// reader accepts every entry ever written, and the writer is canonical.
+#[test]
+fn checked_in_trajectory_round_trips() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pagesim.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_pagesim.json readable");
+    let hist = BenchHistory::parse(&text).expect("every recorded entry parses");
+    assert!(!hist.entries.is_empty());
+    assert_eq!(hist.serialize(), text);
 }
 
 /// A baseline metric silently missing from the current matrix fails the

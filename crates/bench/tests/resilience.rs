@@ -2,16 +2,19 @@
 //! (worker panics, cache corruption, forced-slow trials, worker kills,
 //! mid-sweep aborts) must never change figure output — recovered runs are
 //! byte-identical to clean ones — and unrecoverable trials must surface as
-//! typed failures, not panics.
+//! typed failures, not panics. Likewise the on-disk JSON formats: a torn or
+//! bit-flipped document is a typed error from the shared reader.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use pagesim::experiments::{self, Bench, CellSpec, Scale};
 use pagesim::FailureKind;
+use pagesim_bench::repro_bench::history::BenchHistory;
 use pagesim_bench::sweep::{
-    cache, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome,
+    cache, journal::Journal, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome,
 };
+use pagesim_trace::TraceConfig;
 use proptest::prelude::*;
 
 fn tiny_bench() -> Bench {
@@ -340,5 +343,69 @@ proptest! {
             );
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shared JSON reader property
+// ---------------------------------------------------------------------
+
+/// One real document per on-disk JSON format the shared reader serves: a
+/// serialized bench history, a trace JSONL line, a run-journal line and a
+/// SARIF export of the `hot_ws` lint fixture. Each ends at its closing
+/// brace, so any strict prefix is a torn document.
+fn json_seeds() -> &'static [String; 4] {
+    static SEEDS: OnceLock<[String; 4]> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let text = std::fs::read_to_string(format!("{root}/BENCH_pagesim.json"))
+            .expect("BENCH_pagesim.json readable");
+        let mut history = BenchHistory::parse(&text).expect("checked-in history parses");
+        history.entries.truncate(1);
+
+        let query = experiments::figure_cells("fig1").swap_remove(1);
+        let (_, trace) = tiny_bench().run_trial_traced(&query, 0, TraceConfig::default());
+        let jsonl = trace.to_jsonl();
+        let trace_line = jsonl
+            .lines()
+            .find(|l| l.contains("\"type\":\"lru_gen\""))
+            .expect("trace has an lru_gen record");
+
+        let dir = scratch_dir("json-seed");
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("journal.jsonl");
+        let mut journal = Journal::open(&path, false).expect("open journal");
+        journal.trial(0xC0FFEE, "tpch/mglru \"q\" trial 0", "failed", Some("panic: \\n"), 3, 7);
+        drop(journal);
+        let journal_line = std::fs::read_to_string(&path).expect("read journal");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let hot_ws = format!("{root}/crates/lint/tests/fixtures/hot_ws");
+        let report = pagesim_lint::lint_workspace(hot_ws.as_ref()).expect("lint hot_ws");
+        let sarif = pagesim_lint::sarif::render(&report.findings, &[]);
+
+        [history.serialize(), trace_line.to_owned(), journal_line, sarif]
+            .map(|doc| doc.trim_end().to_owned())
+    })
+}
+
+proptest! {
+    /// A torn or bit-flipped document is a typed error, never a panic, and
+    /// a torn one is never mistaken for a complete document.
+    #[test]
+    fn mutated_json_never_panics(pos in 0usize..1_000_000, xor in 1u8..=255u8) {
+        for (i, seed) in json_seeds().iter().enumerate() {
+            let doc = seed.as_bytes();
+            prop_assert!(pagesim_json::parse(seed).is_ok(), "seed {i} does not parse");
+            let p = pos % doc.len();
+            let torn = String::from_utf8_lossy(&doc[..p]);
+            prop_assert!(
+                pagesim_json::parse(&torn).is_err(),
+                "seed {i} cut at byte {p} parsed as complete"
+            );
+            let mut flipped = doc.to_vec();
+            flipped[p] ^= xor;
+            let _ = pagesim_json::parse(&String::from_utf8_lossy(&flipped));
+        }
     }
 }

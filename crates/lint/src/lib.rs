@@ -262,6 +262,7 @@ pub struct RuleSet {
 pub const SIM_CRATES: &[&str] = &[
     "core",
     "engine",
+    "json",
     "kv",
     "mem",
     "policy",

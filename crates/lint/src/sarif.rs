@@ -6,34 +6,19 @@
 //! `codeFlows` thread flow — one location per function along the
 //! root→…→construct path — which GitHub renders as a step-through.
 
-use crate::{Finding, Rule};
+use pagesim_json::escape;
 
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::{Finding, Rule};
 
 fn location(file: &str, line: u32, message: Option<&str>) -> String {
     let msg = match message {
-        Some(m) => format!(",\"message\":{{\"text\":\"{}\"}}", esc(m)),
+        Some(m) => format!(",\"message\":{{\"text\":\"{}\"}}", escape(m)),
         None => String::new(),
     };
     format!(
         "{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
          \"region\":{{\"startLine\":{}}}}}{}}}",
-        esc(file),
+        escape(file),
         line.max(1),
         msg
     )
@@ -51,7 +36,7 @@ fn result(f: &Finding, level: &str, rule_index: usize) -> String {
         f.rule.code(),
         rule_index,
         level,
-        esc(&text),
+        escape(&text),
         location(&f.file, f.line, None)
     );
     if !f.chain.is_empty() {
@@ -83,8 +68,8 @@ pub fn render(errors: &[Finding], warnings: &[Finding]) -> String {
                 "{{\"id\":\"{}\",\"name\":\"{}\",\
                  \"shortDescription\":{{\"text\":\"{}\"}}}}",
                 r.code(),
-                esc(r.id()),
-                esc(r.describe())
+                escape(r.id()),
+                escape(r.describe())
             )
         })
         .collect();

@@ -80,9 +80,19 @@ fn l2_would_catch_a_wall_clock_sampler() {
 
 #[test]
 fn trace_crate_carries_the_sim_rule_set() {
-    let rules = rules_for("trace", "crates/trace/src/tracer.rs");
-    assert!(rules.hash_iter && rules.wall_clock && rules.thread_spawn);
-    assert!(!rules.hot_unwrap);
+    // The JSON reader builds ordered objects for deterministic consumers;
+    // L1 keeps hash containers out of it.
+    for (krate, file) in [
+        ("trace", "crates/trace/src/tracer.rs"),
+        ("json", "crates/json/src/lib.rs"),
+    ] {
+        let rules = rules_for(krate, file);
+        assert!(
+            rules.hash_iter && rules.wall_clock && rules.thread_spawn,
+            "{krate}"
+        );
+        assert!(!rules.hot_unwrap, "{krate}");
+    }
 }
 
 #[test]

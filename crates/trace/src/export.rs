@@ -10,29 +10,10 @@
 
 use std::fmt::Write as _;
 
+use pagesim_json::escape;
+
 use crate::event::{ThreadKind, TraceEvent};
 use crate::tracer::TraceData;
-
-/// Escapes a string for embedding in a JSON document, quotes included.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Simulated ns rendered as Chrome `ts` microseconds with a fixed
 /// `.%03u` ns fraction — deterministic, no float formatting involved.
@@ -55,18 +36,18 @@ impl TraceData {
         let _ = writeln!(
             out,
             concat!(
-                "{{\"type\":\"meta\",\"format_version\":2,\"schema_version\":2,\"ident\":{},",
+                "{{\"type\":\"meta\",\"format_version\":2,\"schema_version\":2,\"ident\":\"{}\",",
                 "\"content_hash\":\"{:016x}\",\"trial\":{},\"seed\":{},\"cores\":{},",
-                "\"sample_interval_ns\":{},\"policy\":{},\"workload\":{}}}"
+                "\"sample_interval_ns\":{},\"policy\":\"{}\",\"workload\":\"{}\"}}"
             ),
-            json_escape(&m.ident),
+            escape(&m.ident),
             m.content_hash,
             m.trial,
             m.seed,
             m.cores,
             m.sample_interval_ns,
-            json_escape(&m.policy),
-            json_escape(&m.workload),
+            escape(&m.policy),
+            escape(&m.workload),
         );
         for s in &self.samples {
             let gens = s
@@ -78,7 +59,7 @@ impl TraceData {
             let cores = s
                 .cores
                 .iter()
-                .map(|c| json_escape(&c.label()))
+                .map(|c| format!("\"{}\"", escape(&c.label())))
                 .collect::<Vec<_>>()
                 .join(",");
             let _ = writeln!(
@@ -113,9 +94,9 @@ impl TraceData {
             );
             let _ = writeln!(
                 out,
-                "{{\"type\":\"lru_gen\",\"t_ns\":{},\"dump\":{}}}",
+                "{{\"type\":\"lru_gen\",\"t_ns\":{},\"dump\":\"{}\"}}",
                 s.t_ns,
-                json_escape(&s.lru_gen),
+                escape(&s.lru_gen),
             );
         }
         for (t_ns, ev) in &self.events {
@@ -311,17 +292,17 @@ impl TraceData {
 
         format!(
             concat!(
-                "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"ident\":{},",
+                "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"ident\":\"{}\",",
                 "\"content_hash\":\"{:016x}\",\"trial\":{},\"seed\":{},",
-                "\"policy\":{},\"workload\":{},\"events_dropped\":{}}},",
+                "\"policy\":\"{}\",\"workload\":\"{}\",\"events_dropped\":{}}},",
                 "\"traceEvents\":[\n{}\n]}}\n"
             ),
-            json_escape(&m.ident),
+            escape(&m.ident),
             m.content_hash,
             m.trial,
             m.seed,
-            json_escape(&m.policy),
-            json_escape(&m.workload),
+            escape(&m.policy),
+            escape(&m.workload),
             self.dropped_events,
             ev.join(",\n"),
         )
@@ -332,12 +313,12 @@ fn meta_name(kind: &str, pid: u32, tid: u64, name: &str) -> String {
     format!(
         concat!(
             "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},",
-            "\"args\":{{\"name\":{name}}}}}"
+            "\"args\":{{\"name\":\"{name}\"}}}}"
         ),
         kind = kind,
         pid = pid,
         tid = tid,
-        name = json_escape(name),
+        name = escape(name),
     )
 }
 
@@ -387,7 +368,7 @@ fn event_fields(ev: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_json;
+    use pagesim_json::{parse, JsonValue};
     use crate::tracer::{CoreOcc, Sample, TraceMeta, Tracer, TraceConfig};
 
     fn demo_data() -> TraceData {
@@ -451,11 +432,11 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         // meta + (sample, workingset, lru_gen) per boundary + events + end.
         assert_eq!(lines.len(), 1 + 3 + 5 + 1);
-        let meta = parse_json(lines[0]).expect("meta parses");
+        let meta = parse(lines[0]).expect("meta parses");
         assert_eq!(meta.get("type").and_then(|v| v.as_str()), Some("meta"));
         assert_eq!(
             meta.get("schema_version"),
-            Some(&crate::json::JsonValue::Num("2".to_owned()))
+            Some(&JsonValue::Num("2".to_owned()))
         );
         assert_eq!(
             meta.get("content_hash").and_then(|v| v.as_str()),
@@ -466,25 +447,25 @@ mod tests {
             Some("tpch/mglru trial \"0\"")
         );
         for line in &lines {
-            parse_json(line).expect("every line is valid json");
+            parse(line).expect("every line is valid json");
         }
         // Each sample boundary carries its workingset and lru_gen records.
-        let ws = parse_json(lines[2]).expect("workingset parses");
+        let ws = parse(lines[2]).expect("workingset parses");
         assert_eq!(ws.get("type").and_then(|v| v.as_str()), Some("workingset"));
-        let lg = parse_json(lines[3]).expect("lru_gen parses");
+        let lg = parse(lines[3]).expect("lru_gen parses");
         assert_eq!(lg.get("type").and_then(|v| v.as_str()), Some("lru_gen"));
         let dump = lg.get("dump").and_then(|v| v.as_str()).expect("dump str");
         assert!(dump.contains("min_seq 2"), "escaped dump survives: {dump}");
-        let end = parse_json(lines[lines.len() - 1]).expect("end parses");
+        let end = parse(lines[lines.len() - 1]).expect("end parses");
         assert_eq!(end.get("type").and_then(|v| v.as_str()), Some("end"));
     }
 
     #[test]
     fn chrome_trace_is_valid_json_with_tracks() {
         let chrome = demo_data().to_chrome_trace();
-        let doc = parse_json(&chrome).expect("chrome trace parses");
+        let doc = parse(&chrome).expect("chrome trace parses");
         let events = match doc.get("traceEvents") {
-            Some(crate::json::JsonValue::Arr(items)) => items.clone(),
+            Some(JsonValue::Arr(items)) => items.clone(),
             other => panic!("traceEvents missing: {other:?}"),
         };
         // Metadata (3 process + 4 thread names) + 4 counters + 5 events.
@@ -496,11 +477,11 @@ mod tests {
         assert_eq!(slice.get("ph").and_then(|v| v.as_str()), Some("X"));
         assert_eq!(
             slice.get("ts"),
-            Some(&crate::json::JsonValue::Num("0.500".to_owned()))
+            Some(&JsonValue::Num("0.500".to_owned()))
         );
         assert_eq!(
             slice.get("dur"),
-            Some(&crate::json::JsonValue::Num("0.250".to_owned()))
+            Some(&JsonValue::Num("0.250".to_owned()))
         );
     }
 
@@ -508,11 +489,5 @@ mod tests {
     fn exports_are_deterministic() {
         assert_eq!(demo_data().to_jsonl(), demo_data().to_jsonl());
         assert_eq!(demo_data().to_chrome_trace(), demo_data().to_chrome_trace());
-    }
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -28,12 +28,9 @@
 
 mod event;
 mod export;
-mod json;
 mod schema;
 mod tracer;
 
 pub use event::{EventRing, ThreadKind, TraceEvent};
-pub use export::json_escape;
-pub use json::{parse_json, JsonValue};
 pub use schema::{validate_jsonl, RecordSpec, Schema, BUILTIN_SCHEMA};
 pub use tracer::{CoreOcc, Sample, TraceConfig, TraceData, TraceMeta, Tracer};

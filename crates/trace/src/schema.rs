@@ -17,7 +17,7 @@
 //! kind-specific payloads), but a line whose `type` names no record, a
 //! missing required field, or a type mismatch all fail validation.
 
-use crate::json::{parse_json, JsonValue};
+use pagesim_json::{parse, JsonValue};
 
 /// One record block: a name and its required `(field, type)` pairs.
 #[derive(Clone, Debug)]
@@ -119,7 +119,7 @@ pub fn validate_jsonl(schema: &Schema, jsonl: &str) -> Vec<String> {
     let mut types = Vec::with_capacity(lines.len());
     for (idx, line) in lines.iter().enumerate() {
         let lineno = idx + 1;
-        let value = match parse_json(line) {
+        let value = match parse(line) {
             Ok(v) => v,
             Err(e) => {
                 errors.push(format!("line {lineno}: invalid json: {e}"));
@@ -135,10 +135,7 @@ pub fn validate_jsonl(schema: &Schema, jsonl: &str) -> Vec<String> {
         types.push(ty.to_owned());
         if idx == 0 {
             if let Some(expect) = schema.version {
-                let found = value.get("schema_version").and_then(|v| match v {
-                    JsonValue::Num(n) => n.parse::<u64>().ok(),
-                    _ => None,
-                });
+                let found = value.get("schema_version").and_then(JsonValue::as_u64);
                 if found != Some(expect) {
                     errors.push(format!(
                         "line 1: schema_version must be {expect} (found {})",
