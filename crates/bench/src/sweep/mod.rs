@@ -423,6 +423,10 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
             while live > 0 {
                 let Ok(msg) = rx.recv() else { break };
                 match msg {
+                    // Once the abort is raised, a trial a worker was still
+                    // finishing is dropped unjournaled: an aborted run
+                    // records exactly the trials counted up to the abort.
+                    Msg::Trial(..) if abort.load(Ordering::Relaxed) => {}
                     Msg::Trial(i, out) => {
                         done += 1;
                         stats.cache_hits += out.from_cache as usize;

@@ -274,10 +274,9 @@ fn aborted_run_resumes_to_byte_identical_output() {
     );
     assert!(!resumed.aborted);
     assert!(resumed.failures.is_empty());
-    assert!(
-        resumed.stats.resumed >= 3,
-        "journalled trials must be served from cache, saw resumed={}",
-        resumed.stats.resumed
+    assert_eq!(
+        resumed.stats.resumed, 3,
+        "exactly the journalled trials must be served from cache"
     );
     assert_eq!(
         render(&bench),
@@ -286,6 +285,44 @@ fn aborted_run_resumes_to_byte_identical_output() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn aborted_journal_holds_exactly_n_trials() {
+    for jobs in [1, 2] {
+        for run in 0..5 {
+            let dir = scratch_dir(&format!("abort-count-{jobs}-{run}"));
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            let journal = dir.join("run-journal.jsonl");
+            let outcome = run_sweep_resilient(
+                &tiny_bench(),
+                &figs(),
+                &SweepOptions {
+                    journal: Some(journal.clone()),
+                    ..chaos_opts(
+                        jobs,
+                        ChaosPlan {
+                            seed: 5,
+                            abort_after: Some(3),
+                            ..ChaosPlan::default()
+                        },
+                    )
+                },
+            );
+            assert!(outcome.aborted, "jobs={jobs} run={run}: no abort");
+            let text = std::fs::read_to_string(&journal).expect("journal written");
+            assert_eq!(
+                text.matches("\"kind\":\"trial\"").count(),
+                3,
+                "jobs={jobs} run={run}: journal\n{text}"
+            );
+            assert!(
+                text.contains("\"done\":3,"),
+                "jobs={jobs} run={run}: {text}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

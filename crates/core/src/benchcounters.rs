@@ -1,22 +1,29 @@
-//! Host-time fault/reclaim path counters for `repro bench`.
+//! Host-time fault/reclaim/scan path counters for `repro bench` and the
+//! standalone perfbench harness (`perfbench/src/native.rs`).
 //!
-//! The benchmark matrix tracks per-policy fault-path ns/op and
-//! reclaim-batch ns/op. Those are *host* wall-clock measurements — exactly
-//! what the determinism rules ban from the simulation proper — so they
-//! live here in a feature-gated side channel:
+//! The benchmarks track per-policy fault-path ns/op, reclaim-batch ns/op
+//! and aging/eviction scan ns/PTE. Those are *host* wall-clock
+//! measurements — exactly what the determinism rules ban from the
+//! simulation proper — so they live here in a side channel:
 //!
-//! * Behind `--features bench-counters`, [`time_fault`] / [`time_reclaim`]
-//!   return RAII timers that accumulate elapsed nanoseconds and op counts
-//!   into thread-local cells, read out with [`take`].
-//! * Without the feature (all figure runs), the timers are zero-sized
-//!   no-ops and the hooks compile to nothing. The counters never feed back
-//!   into `RunMetrics` or any simulated decision, so figure output is
-//!   byte-identical either way — CI enforces this with a golden diff of
-//!   `figures_default.txt` built both ways.
+//! * [`Timer::start`] returns an RAII timer for one [`Counter`]. On drop
+//!   it adds its elapsed nanoseconds and its units (one op, or the PTEs a
+//!   scan examined) to that counter's thread-local cells, read out with
+//!   [`take`].
+//! * Without `--features bench-counters` (all figure runs), [`ENABLED`]
+//!   is false, a timer never reads the clock, and the optimizer removes
+//!   it. The counters never feed back into `RunMetrics` or any simulated
+//!   decision, so figure output is byte-identical either way — CI
+//!   enforces this with a golden diff of `figures_default.txt` built both
+//!   ways.
 //!
 //! Counters are thread-local on purpose: the sweep executor runs one trial
 //! per worker thread, so a worker's `reset`/run/`take` window observes only
 //! its own trial with no synchronization on the hot path.
+
+use std::cell::Cell;
+// lint: allow(wall-clock) host-time benchmark counters, never read in figure builds and never fed back into the simulation
+use std::time::Instant;
 
 /// Accumulated hot-path counters for one measurement window (one trial on
 /// one thread). All zeros when `bench-counters` is compiled out.
@@ -68,268 +75,197 @@ impl CounterSnapshot {
     }
 }
 
-#[cfg(feature = "bench-counters")]
-mod imp {
-    use super::CounterSnapshot;
-    use std::cell::Cell;
-    // lint: allow(wall-clock) host-time benchmark counters, feature-gated out of figure runs and never fed back into the simulation
-    use std::time::Instant;
-
-    thread_local! {
-        static FAULT_NS: Cell<u64> = const { Cell::new(0) };
-        static FAULT_OPS: Cell<u64> = const { Cell::new(0) };
-        static RECLAIM_NS: Cell<u64> = const { Cell::new(0) };
-        static RECLAIM_OPS: Cell<u64> = const { Cell::new(0) };
-        static AGING_SCAN_NS: Cell<u64> = const { Cell::new(0) };
-        static AGING_SCAN_PTES: Cell<u64> = const { Cell::new(0) };
-        static EVICT_SCAN_NS: Cell<u64> = const { Cell::new(0) };
-        static EVICT_SCAN_PTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// RAII timer charging its lifetime to the fault-path counters.
-    pub struct FaultTimer {
-        // lint: allow(wall-clock) see module header: side-channel measurement only
-        start: Instant,
-    }
-
-    impl Drop for FaultTimer {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos() as u64;
-            FAULT_NS.with(|c| c.set(c.get().saturating_add(ns)));
-        }
-    }
-
-    /// RAII timer charging its lifetime to the reclaim-batch counters.
-    pub struct ReclaimTimer {
-        // lint: allow(wall-clock) see module header: side-channel measurement only
-        start: Instant,
-    }
-
-    impl Drop for ReclaimTimer {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos() as u64;
-            RECLAIM_NS.with(|c| c.set(c.get().saturating_add(ns)));
-        }
-    }
-
-    /// Starts timing one fault-path entry.
-    pub fn time_fault() -> FaultTimer {
-        FAULT_OPS.with(|c| c.set(c.get() + 1));
-        FaultTimer {
-            // lint: allow(wall-clock) see module header: side-channel measurement only
-            start: Instant::now(),
-        }
-    }
-
-    /// Starts timing one reclaim batch.
-    pub fn time_reclaim() -> ReclaimTimer {
-        RECLAIM_OPS.with(|c| c.set(c.get() + 1));
-        ReclaimTimer {
-            // lint: allow(wall-clock) see module header: side-channel measurement only
-            start: Instant::now(),
-        }
-    }
-
-    /// RAII timer charging its lifetime to the aging-scan counters.
-    pub struct AgingScanTimer {
-        // lint: allow(wall-clock) see module header: side-channel measurement only
-        start: Instant,
-    }
-
-    impl Drop for AgingScanTimer {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos() as u64;
-            AGING_SCAN_NS.with(|c| c.set(c.get().saturating_add(ns)));
-        }
-    }
-
-    /// RAII timer charging its lifetime to the eviction-scan counters.
-    pub struct EvictScanTimer {
-        // lint: allow(wall-clock) see module header: side-channel measurement only
-        start: Instant,
-    }
-
-    impl Drop for EvictScanTimer {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos() as u64;
-            EVICT_SCAN_NS.with(|c| c.set(c.get().saturating_add(ns)));
-        }
-    }
-
-    /// Starts timing one aging-walk region scan.
-    pub fn time_aging_scan() -> AgingScanTimer {
-        AgingScanTimer {
-            // lint: allow(wall-clock) see module header: side-channel measurement only
-            start: Instant::now(),
-        }
-    }
-
-    /// Credits PTEs examined by a timed aging-walk region scan.
-    pub fn add_aging_scan_ptes(n: u64) {
-        AGING_SCAN_PTES.with(|c| c.set(c.get().saturating_add(n)));
-    }
-
-    /// Starts timing one eviction spatial line scan.
-    pub fn time_evict_scan() -> EvictScanTimer {
-        EvictScanTimer {
-            // lint: allow(wall-clock) see module header: side-channel measurement only
-            start: Instant::now(),
-        }
-    }
-
-    /// Credits PTEs examined by a timed eviction line scan.
-    pub fn add_evict_scan_ptes(n: u64) {
-        EVICT_SCAN_PTES.with(|c| c.set(c.get().saturating_add(n)));
-    }
-
-    /// Zeroes this thread's counters (call before a measurement window).
-    pub fn reset() {
-        FAULT_NS.with(|c| c.set(0));
-        FAULT_OPS.with(|c| c.set(0));
-        RECLAIM_NS.with(|c| c.set(0));
-        RECLAIM_OPS.with(|c| c.set(0));
-        AGING_SCAN_NS.with(|c| c.set(0));
-        AGING_SCAN_PTES.with(|c| c.set(0));
-        EVICT_SCAN_NS.with(|c| c.set(0));
-        EVICT_SCAN_PTES.with(|c| c.set(0));
-    }
-
-    /// Reads and zeroes this thread's counters (call after the window).
-    pub fn take() -> CounterSnapshot {
-        let snap = CounterSnapshot {
-            fault_ns: FAULT_NS.with(Cell::get),
-            fault_ops: FAULT_OPS.with(Cell::get),
-            reclaim_ns: RECLAIM_NS.with(Cell::get),
-            reclaim_ops: RECLAIM_OPS.with(Cell::get),
-            aging_scan_ns: AGING_SCAN_NS.with(Cell::get),
-            aging_scan_ptes: AGING_SCAN_PTES.with(Cell::get),
-            evict_scan_ns: EVICT_SCAN_NS.with(Cell::get),
-            evict_scan_ptes: EVICT_SCAN_PTES.with(Cell::get),
-        };
-        reset();
-        snap
-    }
-}
-
-#[cfg(not(feature = "bench-counters"))]
-mod imp {
-    use super::CounterSnapshot;
-
-    /// No-op stand-in for the fault timer when counters are compiled out.
-    pub struct FaultTimer;
-
-    impl Drop for FaultTimer {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op stand-in for the reclaim timer when counters are compiled out.
-    pub struct ReclaimTimer;
-
-    impl Drop for ReclaimTimer {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op stand-in for the aging-scan timer when counters are compiled out.
-    pub struct AgingScanTimer;
-
-    impl Drop for AgingScanTimer {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op stand-in for the evict-scan timer when counters are compiled out.
-    pub struct EvictScanTimer;
-
-    impl Drop for EvictScanTimer {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn time_fault() -> FaultTimer {
-        FaultTimer
-    }
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn time_reclaim() -> ReclaimTimer {
-        ReclaimTimer
-    }
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn time_aging_scan() -> AgingScanTimer {
-        AgingScanTimer
-    }
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn add_aging_scan_ptes(_n: u64) {}
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn time_evict_scan() -> EvictScanTimer {
-        EvictScanTimer
-    }
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn add_evict_scan_ptes(_n: u64) {}
-
-    /// No-op: counters are compiled out.
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// Always the zero snapshot: counters are compiled out.
-    #[inline(always)]
-    pub fn take() -> CounterSnapshot {
-        CounterSnapshot::default()
-    }
-}
-
-pub use imp::{
-    add_aging_scan_ptes, add_evict_scan_ptes, reset, take, time_aging_scan, time_evict_scan,
-    time_fault, time_reclaim, AgingScanTimer, EvictScanTimer, FaultTimer, ReclaimTimer,
-};
-
 /// Whether this build carries the hot-path counters (`bench-counters`).
 pub const ENABLED: bool = cfg!(feature = "bench-counters");
+
+/// A timed hot path. Each variant owns one `[ns, units]` pair of cells.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
+    /// One page-fault path entry (`Kernel::fault`); units are ops.
+    Fault,
+    /// One reclaim batch: policy scan plus eviction application, for a
+    /// kswapd slice or a direct reclaim round; units are batches.
+    Reclaim,
+    /// One aging-walk region scan; units are PTEs examined.
+    AgingScan,
+    /// One eviction spatial line-mask probe; units are PTEs examined.
+    EvictScan,
+}
+
+impl Counter {
+    /// Every counter, in cell order.
+    pub const ALL: [Counter; 4] = [
+        Counter::Fault,
+        Counter::Reclaim,
+        Counter::AgingScan,
+        Counter::EvictScan,
+    ];
+}
+
+thread_local! {
+    /// `[ns, units]` per [`Counter`], indexed by the variant.
+    static CELLS: [[Cell<u64>; 2]; Counter::ALL.len()] =
+        const { [const { [const { Cell::new(0) }; 2] }; Counter::ALL.len()] };
+}
+
+/// RAII timer charging its lifetime to one [`Counter`].
+#[must_use = "a timer measures until it is dropped"]
+pub struct Timer {
+    counter: Counter,
+    units: u64,
+    // lint: allow(wall-clock) see module header: side-channel measurement only
+    start: Option<Instant>,
+}
+
+impl Timer {
+    /// Starts timing one entry into `counter`'s path. It charges one unit
+    /// when dropped unless [`Timer::set_units`] says otherwise.
+    #[inline]
+    pub fn start(counter: Counter) -> Timer {
+        Timer {
+            counter,
+            units: 1,
+            // lint: allow(wall-clock) see module header: side-channel measurement only
+            start: ENABLED.then(Instant::now),
+        }
+    }
+
+    /// Charges `n` units instead of one (a scan credits the PTEs it
+    /// examined).
+    #[inline]
+    pub fn set_units(&mut self, n: u64) {
+        self.units = n;
+    }
+}
+
+impl Drop for Timer {
+    #[inline]
+    fn drop(&mut self) {
+        // The constant first: without the feature this body is empty, so
+        // the optimizer deletes the timer along with its unwind cleanup.
+        if !ENABLED {
+            return;
+        }
+        if let Some(start) = self.start {
+            let ns = start.elapsed().as_nanos() as u64;
+            CELLS.with(|cells| {
+                let [total_ns, units] = &cells[self.counter as usize];
+                total_ns.set(total_ns.get().saturating_add(ns));
+                units.set(units.get().saturating_add(self.units));
+            });
+        }
+    }
+}
+
+/// Zeroes this thread's counters (call before a measurement window).
+pub fn reset() {
+    take();
+}
+
+/// Reads and zeroes this thread's counters (call after the window).
+pub fn take() -> CounterSnapshot {
+    let [fault, reclaim, aging, evict] = CELLS.with(|cells| {
+        cells
+            .each_ref()
+            .map(|[ns, units]| (ns.take(), units.take()))
+    });
+    CounterSnapshot {
+        fault_ns: fault.0,
+        fault_ops: fault.1,
+        reclaim_ns: reclaim.0,
+        reclaim_ops: reclaim.1,
+        aging_scan_ns: aging.0,
+        aging_scan_ptes: aging.1,
+        evict_scan_ns: evict.0,
+        evict_scan_ptes: evict.1,
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The snapshot fields a counter must charge, written out by hand so
+    /// an index mix-up between [`Counter`] and [`take`] shows up.
+    type Fields = fn(&mut CounterSnapshot) -> (&mut u64, &mut u64);
+
+    /// Every counter with its snapshot fields and the units a timer
+    /// charges: `None` counts one op per timer, `Some(n)` credits `n`.
+    const TABLE: [(Counter, Fields, Option<u64>); 4] = [
+        (
+            Counter::Fault,
+            |s| (&mut s.fault_ns, &mut s.fault_ops),
+            None,
+        ),
+        (
+            Counter::Reclaim,
+            |s| (&mut s.reclaim_ns, &mut s.reclaim_ops),
+            None,
+        ),
+        (
+            Counter::AgingScan,
+            |s| (&mut s.aging_scan_ns, &mut s.aging_scan_ptes),
+            Some(512),
+        ),
+        (
+            Counter::EvictScan,
+            |s| (&mut s.evict_scan_ns, &mut s.evict_scan_ptes),
+            Some(8),
+        ),
+    ];
+
     #[test]
-    fn disabled_build_reads_all_zeros() {
-        if ENABLED {
-            return;
-        }
-        reset();
-        {
-            let _f = time_fault();
-            let _r = time_reclaim();
-        }
-        assert_eq!(take(), CounterSnapshot::default());
+    fn table_covers_every_counter() {
+        let rows: Vec<Counter> = TABLE.iter().map(|&(c, _, _)| c).collect();
+        assert_eq!(rows, Counter::ALL);
     }
 
     #[test]
-    fn enabled_build_counts_ops_and_time() {
-        if !ENABLED {
-            return;
+    fn each_timer_charges_only_its_own_cells() {
+        for (counter, fields, units) in TABLE {
+            reset();
+            for _ in 0..3 {
+                let mut t = Timer::start(counter);
+                if let Some(n) = units {
+                    t.set_units(n);
+                }
+                // Hold the timer across at least one clock tick.
+                let t0 = Instant::now();
+                while t0.elapsed().as_nanos() == 0 {
+                    std::hint::spin_loop();
+                }
+                drop(t);
+            }
+            let mut snap = take();
+            if !ENABLED {
+                assert_eq!(snap, CounterSnapshot::default(), "{counter:?}");
+                continue;
+            }
+            let (ns, charged) = fields(&mut snap);
+            assert!(*ns > 0, "{counter:?} charged no time");
+            // Fault and reclaim timers count ops; scans count PTEs.
+            assert_eq!(*charged, 3 * units.unwrap_or(1), "{counter:?} units");
+            (*ns, *charged) = (0, 0);
+            assert_eq!(
+                snap,
+                CounterSnapshot::default(),
+                "{counter:?} charged another cell"
+            );
         }
-        reset();
-        for _ in 0..3 {
-            let t = time_fault();
-            std::hint::black_box(0u64);
-            drop(t);
+    }
+
+    #[test]
+    fn take_zeroes_every_cell() {
+        for counter in Counter::ALL {
+            drop(Timer::start(counter));
         }
-        {
-            let _r = time_reclaim();
+        let first = take();
+        if ENABLED {
+            assert!(first.fault_ns_per_op().is_some());
+            assert!(first.reclaim_ns_per_op().is_some());
+            assert!(first.aging_scan_ns_per_pte().is_some());
+            assert!(first.evict_scan_ns_per_pte().is_some());
         }
-        let snap = take();
-        assert_eq!(snap.fault_ops, 3);
-        assert_eq!(snap.reclaim_ops, 1);
-        assert!(snap.fault_ns_per_op().is_some());
-        // take() resets: a second read is empty.
         assert_eq!(take(), CounterSnapshot::default());
     }
 
@@ -340,36 +276,5 @@ mod tests {
         assert_eq!(snap.reclaim_ns_per_op(), None);
         assert_eq!(snap.aging_scan_ns_per_pte(), None);
         assert_eq!(snap.evict_scan_ns_per_pte(), None);
-    }
-
-    #[test]
-    fn scan_counters_divide_by_examined_ptes() {
-        if !ENABLED {
-            reset();
-            let _a = time_aging_scan();
-            let _e = time_evict_scan();
-            add_aging_scan_ptes(512);
-            add_evict_scan_ptes(8);
-            drop((_a, _e));
-            assert_eq!(take(), CounterSnapshot::default());
-            return;
-        }
-        reset();
-        {
-            let _t = time_aging_scan();
-            std::hint::black_box(0u64);
-        }
-        add_aging_scan_ptes(512);
-        {
-            let _t = time_evict_scan();
-            std::hint::black_box(0u64);
-        }
-        add_evict_scan_ptes(8);
-        let snap = take();
-        assert_eq!(snap.aging_scan_ptes, 512);
-        assert_eq!(snap.evict_scan_ptes, 8);
-        assert!(snap.aging_scan_ns_per_pte().is_some());
-        assert!(snap.evict_scan_ns_per_pte().is_some());
-        assert_eq!(take(), CounterSnapshot::default());
     }
 }

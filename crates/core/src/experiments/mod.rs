@@ -295,15 +295,20 @@ impl Bench {
         &self.buffered
     }
 
+    /// The workload a [`Wl`] names, at this bench's scale.
+    fn workload(&self, wl: Wl) -> &(dyn Workload + Sync) {
+        match wl {
+            Wl::Tpch => &self.tpch,
+            Wl::PageRank => &self.pagerank,
+            Wl::YcsbA => &self.ycsb_a,
+            Wl::YcsbB => &self.ycsb_b,
+            Wl::YcsbC => &self.ycsb_c,
+        }
+    }
+
     /// Footprint of a workload in pages.
     pub fn footprint(&self, wl: Wl) -> u32 {
-        match wl {
-            Wl::Tpch => self.tpch.footprint_pages(),
-            Wl::PageRank => self.pagerank.footprint_pages(),
-            Wl::YcsbA => self.ycsb_a.footprint_pages(),
-            Wl::YcsbB => self.ycsb_b.footprint_pages(),
-            Wl::YcsbC => self.ycsb_c.footprint_pages(),
-        }
+        self.workload(wl).footprint_pages()
     }
 
     /// Runs (or fetches from cache) one experiment cell.
@@ -341,14 +346,7 @@ impl Bench {
         let exp = Experiment::new(self.resolve_config(query));
         let seed = self.scale.seed;
         let trials = self.scale.trials;
-        let set = match query.wl {
-            Wl::Tpch => exp.run_trials(&self.tpch, seed, trials),
-            Wl::PageRank => exp.run_trials(&self.pagerank, seed, trials),
-            Wl::YcsbA => exp.run_trials(&self.ycsb_a, seed, trials),
-            Wl::YcsbB => exp.run_trials(&self.ycsb_b, seed, trials),
-            Wl::YcsbC => exp.run_trials(&self.ycsb_c, seed, trials),
-        };
-        let set = Arc::new(set);
+        let set = Arc::new(exp.run_trials(self.workload(query.wl), seed, trials));
         self.cache.lock().insert(key, Arc::clone(&set));
         set
     }
@@ -379,14 +377,7 @@ impl Bench {
             config.max_sim_time = config.max_sim_time.min(b);
         }
         let exp = Experiment::new(config);
-        let seed = trial_seed(self.scale.seed, trial);
-        match query.wl {
-            Wl::Tpch => exp.run(&self.tpch, seed),
-            Wl::PageRank => exp.run(&self.pagerank, seed),
-            Wl::YcsbA => exp.run(&self.ycsb_a, seed),
-            Wl::YcsbB => exp.run(&self.ycsb_b, seed),
-            Wl::YcsbC => exp.run(&self.ycsb_c, seed),
-        }
+        exp.run(self.workload(query.wl), trial_seed(self.scale.seed, trial))
     }
 
     /// Runs one trial with telemetry attached. The returned metrics are
@@ -394,7 +385,6 @@ impl Bench {
     /// trace carries the trial's content-addressed identity
     /// ([`Bench::trial_content_hash`]) so it can always be matched to the
     /// cached metrics it was captured alongside.
-    #[cfg(feature = "trace")]
     pub fn run_trial_traced(
         &self,
         query: &CellQuery,
@@ -404,13 +394,7 @@ impl Bench {
         let config = self.resolve_config(query);
         let exp = Experiment::new(config.clone());
         let seed = trial_seed(self.scale.seed, trial);
-        let (metrics, tracer) = match query.wl {
-            Wl::Tpch => exp.run_traced(&self.tpch, seed, trace_cfg),
-            Wl::PageRank => exp.run_traced(&self.pagerank, seed, trace_cfg),
-            Wl::YcsbA => exp.run_traced(&self.ycsb_a, seed, trace_cfg),
-            Wl::YcsbB => exp.run_traced(&self.ycsb_b, seed, trace_cfg),
-            Wl::YcsbC => exp.run_traced(&self.ycsb_c, seed, trace_cfg),
-        };
+        let (metrics, tracer) = exp.run_traced(self.workload(query.wl), seed, trace_cfg);
         let meta = pagesim_trace::TraceMeta {
             ident: format!("{} trial {}", query.ident(), trial),
             content_hash: self.trial_content_hash(query, trial),

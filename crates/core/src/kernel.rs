@@ -64,20 +64,19 @@ use pagesim_mem::{
 };
 use pagesim_policy::{ClockLru, MgLru, Policy};
 use pagesim_swap::{SsdDevice, SwapDevice, SwapSlot, ZramDevice};
-#[cfg(feature = "trace")]
 use pagesim_trace::{CoreOcc, Sample, ThreadKind, TraceEvent, Tracer};
 use pagesim_workloads::{AccessStream, Op, ReqClass, Workload};
 
+use crate::benchcounters::{Counter, Timer};
 use crate::config::{SwapChoice, SystemConfig};
 use crate::mem_state::MemState;
 use crate::metrics::RunMetrics;
 use crate::workingset::ShadowArena;
 
-/// Records a trace event when a tracer is attached and enabled. Expands
-/// to nothing without the `trace` feature, so release figure builds carry
-/// no tracing code at all; with the feature on but no tracer attached (or
-/// a disabled one) the cost is one branch.
-#[cfg(feature = "trace")]
+/// Records a trace event when a tracer is attached and enabled. The hooks
+/// are always compiled in, like Linux tracepoints: with no tracer attached
+/// (or a disabled one) the cost is one branch, and the event expression is
+/// never evaluated.
 macro_rules! trace_event {
     ($self:expr, $t_ns:expr, $ev:expr) => {
         if let Some(tr) = $self.tracer.as_deref_mut() {
@@ -86,10 +85,6 @@ macro_rules! trace_event {
             }
         }
     };
-}
-#[cfg(not(feature = "trace"))]
-macro_rules! trace_event {
-    ($self:expr, $t_ns:expr, $ev:expr) => {};
 }
 
 /// Owner key recorded for balloon-held frames (outside every address
@@ -261,7 +256,6 @@ pub struct Kernel {
     /// Telemetry collector, attached via [`Kernel::set_tracer`]. Boxed so
     /// the untraced kernel pays one pointer of space; `None` (the
     /// default) short-circuits every hook.
-    #[cfg(feature = "trace")]
     tracer: Option<Box<Tracer>>,
     /// Quiesce-point counter for sampling the O(pages) sanitize sweep at
     /// paper-native footprints (a `Cell` because the checker is `&self`).
@@ -400,7 +394,6 @@ impl Kernel {
             balloon: vec![Vec::new(); pressure.len()],
             shadow: ShadowArena::new(total_pages as usize),
             metrics,
-            #[cfg(feature = "trace")]
             tracer: None,
             #[cfg(feature = "sanitize")]
             sanitize_tick: std::cell::Cell::new(0),
@@ -410,7 +403,6 @@ impl Kernel {
     /// Attaches a telemetry collector. Tracing hooks never feed back into
     /// the simulation: a traced run produces the same `RunMetrics` as an
     /// untraced one.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(Box::new(tracer));
     }
@@ -428,7 +420,6 @@ impl Kernel {
     /// Runs the workload like [`run`](Kernel::run) and additionally hands
     /// back the attached tracer (if any) with its collected samples and
     /// events.
-    #[cfg(feature = "trace")]
     pub fn run_traced(mut self) -> (RunMetrics, Option<Box<Tracer>>) {
         self.run_loop();
         let tracer = self.tracer.take();
@@ -465,7 +456,6 @@ impl Kernel {
             // Emit any sample boundaries due before this event: simulation
             // state only changes at events, so the pre-event snapshot is
             // exactly the state that held at each boundary.
-            #[cfg(feature = "trace")]
             self.pump_samples(t.as_ns());
             self.now = t;
             self.handle_event(ev);
@@ -477,7 +467,6 @@ impl Kernel {
 
     /// Drains sample boundaries at or before `upto_ns`, snapshotting the
     /// current gauges for each.
-    #[cfg(feature = "trace")]
     fn pump_samples(&mut self, upto_ns: u64) {
         while let Some(t_ns) = self
             .tracer
@@ -491,7 +480,6 @@ impl Kernel {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn snapshot_sample(&self, t_ns: u64) -> Sample {
         let cores = (0..self.cfg.cores)
             .map(|core| match self.sched.running_on(core) {
@@ -546,7 +534,6 @@ impl Kernel {
                 used,
                 decision,
             } => {
-                #[cfg(feature = "trace")]
                 if used > 0 {
                     trace_event!(
                         self,
@@ -858,9 +845,9 @@ impl Kernel {
         fd: bool,
         used: &mut Nanos,
     ) -> TouchResult {
-        // Host-time fault-path probe for `repro bench`; zero-sized no-op
-        // unless `bench-counters` is compiled in.
-        let _bench_timer = crate::benchcounters::time_fault();
+        // Host-time fault-path probe for the benchmarks; it never reads
+        // the clock unless `bench-counters` is compiled in.
+        let _bench_timer = Timer::start(Counter::Fault);
         let key = self.mem.space(space).key_of(vpn);
         // 0. Page-lock analog: if another thread's fault on this page is
         //    already in flight, wait for its I/O and retry the access.
@@ -1070,7 +1057,6 @@ impl Kernel {
         }
         // `evicted_before` is monotonic, so reading it again here gives the
         // same `refault` both branches above saw.
-        #[cfg(feature = "trace")]
         if self.mem.evicted_before[key as usize] {
             if let Some(tr) = self.tracer.as_deref_mut() {
                 tr.note_refault();
@@ -1091,7 +1077,7 @@ impl Kernel {
         // and swap-out CPU.
         self.metrics.direct_reclaims += 1;
         for _ in 0..2 {
-            let bench_timer = crate::benchcounters::time_reclaim();
+            let bench_timer = Timer::start(Counter::Reclaim);
             let out = self.policy.reclaim(self.cfg.direct_batch, &mut self.mem);
             self.metrics.pgscan_direct += out.scanned;
             *used += out.cpu_ns;
@@ -1367,7 +1353,7 @@ impl Kernel {
                 }
                 return (used, SliceOutcome::Blocked);
             }
-            let bench_timer = crate::benchcounters::time_reclaim();
+            let bench_timer = Timer::start(Counter::Reclaim);
             let out = self.policy.reclaim(self.cfg.kswapd_batch, &mut self.mem);
             self.metrics.pgscan_kswapd += out.scanned;
             used += out.cpu_ns;

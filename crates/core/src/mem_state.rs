@@ -8,7 +8,7 @@ use pagesim_mem::{
 use pagesim_policy::MemView;
 use pagesim_swap::SwapSlot;
 
-use crate::benchcounters;
+use crate::benchcounters::{Counter, Timer};
 
 /// Address spaces, page tables, frame pool, and swap-cache bookkeeping.
 #[derive(Debug)]
@@ -87,16 +87,16 @@ impl MemView for MemState {
         region: RegionIdx,
         words: &mut [u64; WORDS_PER_REGION],
     ) -> u32 {
-        let _t = benchcounters::time_aging_scan();
+        let mut t = Timer::start(Counter::AgingScan);
         let examined = self.space_mut(space).scan_region(region, words);
-        benchcounters::add_aging_scan_ptes(examined as u64);
+        t.set_units(examined as u64);
         examined
     }
 
     fn scan_line_mask(&mut self, space: AsId, line: LineIdx) -> (u8, u32) {
-        let _t = benchcounters::time_evict_scan();
+        let mut t = Timer::start(Counter::EvictScan);
         let (mask, examined) = self.space_mut(space).scan_line_mask(line);
-        benchcounters::add_evict_scan_ptes(examined as u64);
+        t.set_units(examined as u64);
         (mask, examined)
     }
 

@@ -369,7 +369,6 @@ impl Experiment {
     /// Like [`run`](Experiment::run), but with a telemetry collector
     /// attached. The metrics are identical to an untraced run; the tracer
     /// comes back with the collected samples and events.
-    #[cfg(feature = "trace")]
     pub fn run_traced(
         &self,
         workload: &dyn Workload,
@@ -385,9 +384,9 @@ impl Experiment {
 
     /// Runs `trials` independent executions with seeds derived from
     /// `master_seed` (the paper runs 25 per cell).
-    pub fn run_trials<W: Workload + Sync>(
+    pub fn run_trials(
         &self,
-        workload: &W,
+        workload: &(dyn Workload + Sync),
         master_seed: u64,
         trials: u32,
     ) -> TrialSet {

@@ -21,10 +21,9 @@
 //!   `trace-validate` binary check exported JSONL against the checked-in
 //!   schema (`schema/trace-jsonl.schema`) so CI can gate on it.
 //!
-//! The kernel embeds the tracer behind a `trace` cargo feature in
-//! `pagesim` with a runtime on/off guard on top: release figure runs with
-//! the feature compiled in but tracing disabled take one branch per hook
-//! and stay byte-identical to untraced builds.
+//! `pagesim` always compiles its tracing hooks in and attaches a tracer
+//! at run time: an untraced run takes one branch per hook, and a traced
+//! run returns exactly the metrics an untraced one does.
 
 mod event;
 mod export;
